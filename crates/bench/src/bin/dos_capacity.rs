@@ -69,7 +69,7 @@ fn main() {
         100 * 5 * 10,
     );
     assert!(accepted <= 100 * 5 * 10);
-    assert_eq!(server.db().len(), accepted);
+    assert_eq!(server.store().len(), accepted);
 
     // ------------------------------------------------------------------
     // 2. Agent-side processing of the day's worth of flood signatures:

@@ -92,7 +92,7 @@ fn sweep_point(n: usize) -> f64 {
         0,
         "random signatures from distinct users must all be accepted"
     );
-    assert_eq!(server.db().len(), n);
+    assert_eq!(server.store().len(), n);
     (2 * n) as f64 / elapsed.as_secs_f64()
 }
 

@@ -142,11 +142,9 @@ fn simnet_point(clients: usize) -> (f64, u64, (f64, f64)) {
 /// One real-socket sweep point on localhost. Returns the mean
 /// per-client reply rate and the server-side `(p50, p99)` latency.
 fn tcp_point(clients: usize) -> (f64, (f64, f64)) {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let tcp = communix_server::serve("127.0.0.1:0", server.clone()).expect("bind localhost");
+    let (server, tcp) = communix_server::builder()
+        .serve("127.0.0.1:0")
+        .expect("bind localhost");
     let addr = tcp.addr();
 
     let rates: Vec<f64> = std::thread::scope(|scope| {

@@ -97,7 +97,8 @@ use communix_client::{
 };
 use communix_clock::{Duration as SimDuration, SystemClock};
 use communix_net::{
-    BatchAdd, NicConfig, NodeId, Reply, Request, SimNet, TcpClient, TcpServerConfig,
+    BatchAdd, Handler, NicConfig, NodeId, Reply, Request, SimNet, TcpClient, TcpServer,
+    TcpServerConfig,
 };
 use communix_server::{CommunixServer, IdAuthority, ServerConfig, DEFAULT_SHARDS};
 use communix_workloads::SigGen;
@@ -136,7 +137,7 @@ impl LoadTarget for CommunixServer {
         self.handle_get_scan(0)
     }
     fn stored(&self) -> usize {
-        self.db().len()
+        self.store().len()
     }
     fn latency_us(&self) -> Option<(f64, f64, f64)> {
         Some(server_latency_us(self))
@@ -150,12 +151,46 @@ impl LoadTarget for CommunixServer {
 /// included (the seed had no dedup fast path).
 mod seed {
     use std::collections::{HashMap, VecDeque};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, RwLock};
 
     use communix_clock::{Clock, Instant, DAY};
     use communix_dimmunix::Signature;
     use communix_net::{Reply, Request};
-    use communix_server::{IdAuthority, SignatureDb};
+    use communix_server::IdAuthority;
+
+    /// The seed's signature store: one `RwLock` around the log and its
+    /// dedup index, so the O(N) GET(0) walk and every ADD contend on
+    /// the same lock.
+    #[derive(Default)]
+    pub struct SeedDb(RwLock<(Vec<String>, HashMap<String, usize>)>);
+
+    impl SeedDb {
+        /// Appends `sig_text` unless already stored; `true` if added.
+        fn add(&self, sig_text: &str) -> bool {
+            if self.0.read().expect("unpoisoned").1.contains_key(sig_text) {
+                return false;
+            }
+            let mut guard = self.0.write().expect("unpoisoned");
+            let (sigs, index) = &mut *guard;
+            if index.contains_key(sig_text) {
+                return false;
+            }
+            index.insert(sig_text.to_string(), sigs.len());
+            sigs.push(sig_text.to_string());
+            true
+        }
+
+        /// `(count, bytes)` of the signatures from index `from`.
+        fn scan_from(&self, from: usize) -> (usize, usize) {
+            let guard = self.0.read().expect("unpoisoned");
+            let tail = guard.0.get(from..).unwrap_or_default();
+            (tail.len(), tail.iter().map(String::len).sum())
+        }
+
+        pub fn len(&self) -> usize {
+            self.0.read().expect("unpoisoned").0.len()
+        }
+    }
 
     #[derive(Default)]
     struct UserState {
@@ -174,7 +209,7 @@ mod seed {
 
     pub struct SeedServer {
         daily_limit: usize,
-        db: SignatureDb,
+        db: SeedDb,
         authority: IdAuthority,
         users: Mutex<HashMap<u64, UserState>>,
         clock: std::sync::Arc<dyn Clock>,
@@ -185,7 +220,7 @@ mod seed {
         pub fn new(clock: std::sync::Arc<dyn Clock>) -> Self {
             SeedServer {
                 daily_limit: 10,
-                db: SignatureDb::single_lock(),
+                db: SeedDb::default(),
                 authority: IdAuthority::default(),
                 users: Mutex::new(HashMap::new()),
                 clock,
@@ -197,7 +232,7 @@ mod seed {
             &self.authority
         }
 
-        pub fn db(&self) -> &SignatureDb {
+        pub fn db(&self) -> &SeedDb {
             &self.db
         }
 
@@ -225,7 +260,7 @@ mod seed {
             if state.accepted.iter().any(|s| s.adjacent_to(&sig)) {
                 return self.reject("adjacent signature from same sender");
             }
-            let (_, added) = self.db.add(sig_text);
+            let added = self.db.add(sig_text);
             let mut stats = self.stats.lock().expect("unpoisoned");
             if added {
                 state.accepted.push(sig);
@@ -914,12 +949,9 @@ fn drive_pipelined_conn(addr: std::net::SocketAddr, window: usize, secs: f64) ->
 /// throughput and worst per-connection p99.
 #[cfg(unix)]
 fn pipeline_depth_point(window: usize, conns: usize, secs: f64) -> PipelinePoint {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let mut tcp =
-        communix_server::serve("127.0.0.1:0", server.clone()).expect("bind pipeline sweep server");
+    let (_server, mut tcp) = communix_server::builder()
+        .serve("127.0.0.1:0")
+        .expect("bind pipeline sweep server");
     let addr = tcp.addr();
     let results: Vec<(f64, f64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
@@ -1040,11 +1072,10 @@ impl ClientReactorSweep {
 #[cfg(unix)]
 fn client_reactor_sweep(conns: usize, window: usize, secs: f64) -> ClientReactorSweep {
     let serve = || {
-        let server = Arc::new(CommunixServer::new(
-            ServerConfig::default(),
-            Arc::new(SystemClock::new()),
-        ));
-        communix_server::serve("127.0.0.1:0", server).expect("bind client_reactor server")
+        communix_server::builder()
+            .serve("127.0.0.1:0")
+            .expect("bind client_reactor server")
+            .1
     };
 
     let mut tcp = serve();
@@ -1092,14 +1123,19 @@ fn serve_durable(dir: &str) {
         .expect("open durable store");
     let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
     let r = server.store().recovery();
-    let (_, tcp) = communix_server::builder()
-        .attach(server.clone())
-        .serve("127.0.0.1:0")
-        .expect("bind durable server");
+    let handler: Handler = {
+        let server = server.clone();
+        Arc::new(move |req| server.handle(req))
+    };
+    let config = TcpServerConfig {
+        registry: Some(server.telemetry().clone()),
+        ..TcpServerConfig::default()
+    };
+    let tcp = TcpServer::bind_with("127.0.0.1:0", handler, config).expect("bind durable server");
     println!(
         "ADDR {} sigs={} wal_records={} snap_sigs={} torn={} recovery_ms={recovery_ms:.2}",
         tcp.addr(),
-        server.db().len(),
+        server.store().len(),
         r.wal_records,
         r.snapshot_sigs,
         u8::from(r.torn_tail),

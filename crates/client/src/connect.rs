@@ -6,7 +6,7 @@
 //! every TCP connection from before the crash is dead. A daemon holding
 //! a bare [`Connector`] is stuck; one holding a [`Connect`] factory
 //! simply dials again on the next round
-//! ([`ClientDaemon::spawn_connect`](crate::ClientDaemon::spawn_connect)).
+//! ([`ClientDaemon::spawn`](crate::ClientDaemon::spawn)).
 //!
 //! One factory exists per client flavor:
 //!

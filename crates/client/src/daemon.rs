@@ -8,18 +8,18 @@
 //! "The local repository is updated once a day; a high frequency (e.g.,
 //! once a minute) would overload the Communix server." (§III-B)
 
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 
 use crate::connect::Connect;
 use crate::repo::LocalRepository;
-use crate::sync::{sync_delta, sync_once, Connector, SyncError};
+use crate::sync::{sync_delta, SyncError};
 
-/// Statistics of a running daemon.
+/// Statistics of a running daemon. A round is counted when it ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Sync rounds attempted.
@@ -29,16 +29,15 @@ pub struct DaemonStats {
     /// Rounds that failed (server unreachable etc.); the daemon retries
     /// on the next period.
     pub failures: u64,
-    /// Sessions dialed by a [`ClientDaemon::spawn_connect`] daemon —
-    /// `1` for the initial dial, more after transport failures forced a
-    /// redial. Always `0` for daemons given a fixed connector.
+    /// Sessions dialed — `1` for the initial dial, more after transport
+    /// failures forced a redial.
     pub reconnects: u64,
 }
 
 /// A background thread that periodically syncs a repository.
 #[derive(Debug)]
 pub struct ClientDaemon {
-    stop: Sender<()>,
+    stop: SyncSender<()>,
     handle: Option<JoinHandle<()>>,
     stats: Arc<Mutex<DaemonStats>>,
 }
@@ -47,45 +46,17 @@ impl ClientDaemon {
     /// The paper's refresh period.
     pub const DEFAULT_PERIOD: Duration = Duration::from_secs(24 * 60 * 60);
 
-    /// Spawns a daemon that syncs `repo` through `connector` every
-    /// `period` using the single-signature `GET(n)` protocol. The first
-    /// sync runs immediately.
-    pub fn spawn<C>(
-        connector: C,
-        repo: Arc<Mutex<LocalRepository>>,
-        period: Duration,
-    ) -> ClientDaemon
-    where
-        C: Connector + Send + 'static,
-    {
-        Self::spawn_impl(connector, repo, period, None)
-    }
-
-    /// Like [`ClientDaemon::spawn`], but syncs through the batched
-    /// `GET_DELTA` protocol with `window` signatures per reply (0 defers
-    /// to the server's window) — one round trip per sync against a
-    /// batching server.
-    pub fn spawn_batched<C>(
-        connector: C,
-        repo: Arc<Mutex<LocalRepository>>,
-        period: Duration,
-        window: u32,
-    ) -> ClientDaemon
-    where
-        C: Connector + Send + 'static,
-    {
-        Self::spawn_impl(connector, repo, period, Some(window))
-    }
-
-    /// Like [`ClientDaemon::spawn_batched`], but given a session
-    /// *factory* instead of one live connector: the daemon dials through
-    /// `connect` on first use and redials on the next round whenever a
-    /// sync fails with a transport error — which is exactly what a
-    /// durable-server restart looks like from here (dead connection,
-    /// recovered store). Failed rounds count in
-    /// [`DaemonStats::failures`]; successful dials in
+    /// Spawns a daemon that syncs `repo` every `period` through the
+    /// batched `GET_DELTA` protocol, `window` signatures per reply (0
+    /// defers to the server's window). The first sync runs immediately.
+    ///
+    /// The daemon dials through the session factory `connect` on first
+    /// use and redials on the next round whenever a sync fails with a
+    /// transport error — which is exactly what a durable-server restart
+    /// looks like from here (dead connection, recovered store). Failed
+    /// rounds count in [`DaemonStats::failures`]; successful dials in
     /// [`DaemonStats::reconnects`].
-    pub fn spawn_connect<K>(
+    pub fn spawn<K>(
         connect: K,
         repo: Arc<Mutex<LocalRepository>>,
         period: Duration,
@@ -94,30 +65,28 @@ impl ClientDaemon {
     where
         K: Connect + Send + 'static,
     {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
+        let (stop, stop_rx) = mpsc::sync_channel::<()>(1);
         let stats = Arc::new(Mutex::new(DaemonStats::default()));
-        let stats2 = stats.clone();
-        let handle = std::thread::spawn(move || {
-            let mut session: Option<K::Session> = None;
-            loop {
-                {
-                    let mut repo = repo.lock();
-                    let mut stats = stats2.lock();
-                    stats.rounds += 1;
+        let handle = {
+            let stats = stats.clone();
+            std::thread::spawn(move || {
+                let mut session: Option<K::Session> = None;
+                loop {
+                    let (mut dialed, mut failed, mut downloaded) = (false, false, 0);
                     if session.is_none() {
                         match connect.connect() {
                             Ok(s) => {
                                 session = Some(s);
-                                stats.reconnects += 1;
+                                dialed = true;
                             }
-                            Err(_) => stats.failures += 1,
+                            Err(_) => failed = true,
                         }
                     }
                     if let Some(s) = session.as_mut() {
-                        match sync_delta(s, &mut repo, window) {
-                            Ok(n) => stats.downloaded += n as u64,
+                        match sync_delta(s, &mut repo.lock(), window) {
+                            Ok(n) => downloaded = n as u64,
                             Err(e) => {
-                                stats.failures += 1;
+                                failed = true;
                                 if matches!(e, SyncError::Transport(_)) {
                                     // Dead socket: drop it and redial on
                                     // the next round.
@@ -126,54 +95,25 @@ impl ClientDaemon {
                             }
                         }
                     }
+                    // Only the round's outcome takes the stats lock, so
+                    // `stats()` never waits on the server.
+                    {
+                        let mut stats = stats.lock();
+                        stats.rounds += 1;
+                        stats.reconnects += u64::from(dialed);
+                        stats.failures += u64::from(failed);
+                        stats.downloaded += downloaded;
+                    }
+                    // Sleep until the next period or until stopped.
+                    match stop_rx.recv_timeout(period) {
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
+                    }
                 }
-                match stop_rx.recv_timeout(period) {
-                    Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                }
-            }
-        });
+            })
+        };
         ClientDaemon {
-            stop: stop_tx,
-            handle: Some(handle),
-            stats,
-        }
-    }
-
-    fn spawn_impl<C>(
-        mut connector: C,
-        repo: Arc<Mutex<LocalRepository>>,
-        period: Duration,
-        batched_window: Option<u32>,
-    ) -> ClientDaemon
-    where
-        C: Connector + Send + 'static,
-    {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-        let stats = Arc::new(Mutex::new(DaemonStats::default()));
-        let stats2 = stats.clone();
-        let handle = std::thread::spawn(move || loop {
-            {
-                let mut repo = repo.lock();
-                let mut stats = stats2.lock();
-                stats.rounds += 1;
-                let synced = match batched_window {
-                    Some(window) => sync_delta(&mut connector, &mut repo, window),
-                    None => sync_once(&mut connector, &mut repo),
-                };
-                match synced {
-                    Ok(n) => stats.downloaded += n as u64,
-                    Err(_) => stats.failures += 1,
-                }
-            }
-            // Sleep until the next period or until stopped.
-            match stop_rx.recv_timeout(period) {
-                Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            }
-        });
-        ClientDaemon {
-            stop: stop_tx,
+            stop,
             handle: Some(handle),
             stats,
         }
@@ -212,16 +152,22 @@ mod tests {
         let conn = move |req: Request| -> Result<Reply, String> {
             let n = calls2.fetch_add(1, Ordering::SeqCst);
             match req {
-                Request::Get { from } => Ok(Reply::Sigs {
+                Request::GetDelta { from, .. } => Ok(Reply::Delta {
                     from,
-                    // One new signature per round.
-                    sigs: vec![format!("s{n}")],
+                    total: from + 2,
+                    // Two new signatures per round, in one window.
+                    sigs: vec![format!("a{n}"), format!("b{n}")],
                 }),
-                _ => Err("unexpected".into()),
+                other => Err(format!("daemon must use GET_DELTA, sent {other:?}")),
             }
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(conn, repo.clone(), Duration::from_millis(20));
+        let mut daemon = ClientDaemon::spawn(
+            move || Ok(conn.clone()),
+            repo.clone(),
+            Duration::from_millis(10),
+            0,
+        );
         // Wait for at least 3 rounds.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while calls.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
@@ -230,7 +176,9 @@ mod tests {
         daemon.shutdown();
         let stats = daemon.stats();
         assert!(stats.rounds >= 3, "rounds={}", stats.rounds);
-        assert_eq!(stats.downloaded, stats.rounds);
+        assert_eq!(stats.failures, 0);
+        assert_eq!(stats.reconnects, 1, "a healthy session is dialed once");
+        assert_eq!(stats.downloaded, 2 * stats.rounds);
         assert_eq!(repo.lock().len() as u64, stats.downloaded);
     }
 
@@ -244,13 +192,18 @@ mod tests {
                 Err("server down".into())
             } else {
                 match req {
-                    Request::Get { from } => Ok(Reply::Sigs { from, sigs: vec![] }),
+                    Request::GetDelta { from, .. } => Ok(Reply::Delta {
+                        from,
+                        total: from,
+                        sigs: vec![],
+                    }),
                     _ => Err("unexpected".into()),
                 }
             }
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(conn, repo, Duration::from_millis(10));
+        let mut daemon =
+            ClientDaemon::spawn(move || Ok(conn.clone()), repo, Duration::from_millis(10), 0);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while calls.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -259,37 +212,6 @@ mod tests {
         let stats = daemon.stats();
         assert!(stats.failures >= 1);
         assert!(stats.rounds >= stats.failures);
-    }
-
-    #[test]
-    fn batched_daemon_syncs_through_get_delta() {
-        let calls = Arc::new(AtomicU64::new(0));
-        let calls2 = calls.clone();
-        let conn = move |req: Request| -> Result<Reply, String> {
-            let n = calls2.fetch_add(1, Ordering::SeqCst);
-            match req {
-                Request::GetDelta { from, .. } => Ok(Reply::Delta {
-                    from,
-                    total: from + 2,
-                    // Two new signatures per round, in one window.
-                    sigs: vec![format!("a{n}"), format!("b{n}")],
-                }),
-                other => Err(format!("daemon must use GET_DELTA, sent {other:?}")),
-            }
-        };
-        let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon =
-            ClientDaemon::spawn_batched(conn, repo.clone(), Duration::from_millis(10), 0);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while calls.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        daemon.shutdown();
-        let stats = daemon.stats();
-        assert!(stats.rounds >= 3, "rounds={}", stats.rounds);
-        assert_eq!(stats.failures, 0);
-        assert_eq!(stats.downloaded, 2 * stats.rounds);
-        assert_eq!(repo.lock().len() as u64, stats.downloaded);
     }
 
     #[test]
@@ -317,8 +239,7 @@ mod tests {
             })
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon =
-            ClientDaemon::spawn_connect(connect, repo.clone(), Duration::from_millis(5), 0);
+        let mut daemon = ClientDaemon::spawn(connect, repo.clone(), Duration::from_millis(5), 0);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while dials.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -343,7 +264,7 @@ mod tests {
             Err(SyncError::Transport("connection refused".into()))
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn_connect(connect, repo, Duration::from_millis(5), 0);
+        let mut daemon = ClientDaemon::spawn(connect, repo, Duration::from_millis(5), 0);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while attempts.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -356,15 +277,63 @@ mod tests {
     }
 
     #[test]
+    fn stats_answer_while_a_sync_is_in_flight() {
+        // The session blocks inside `call` until the test releases it.
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
+        let connect = move || {
+            let (entered, release) = (entered_tx.clone(), release_rx.clone());
+            Ok(move |req: Request| -> Result<Reply, String> {
+                let _ = entered.send(());
+                let _ = release.lock().expect("unpoisoned").recv();
+                match req {
+                    Request::GetDelta { from, .. } => Ok(Reply::Delta {
+                        from,
+                        total: from,
+                        sigs: vec![],
+                    }),
+                    other => Err(format!("unexpected {other:?}")),
+                }
+            })
+        };
+        let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
+        let mut daemon = ClientDaemon::spawn(connect, repo, Duration::from_secs(3600), 0);
+        entered_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the first sync reaches the session");
+        let in_flight = std::thread::scope(|scope| {
+            let (got_tx, got_rx) = mpsc::channel();
+            let daemon = &daemon;
+            scope.spawn(move || {
+                let _ = got_tx.send(daemon.stats());
+            });
+            let got = got_rx.recv_timeout(Duration::from_secs(2));
+            // Unblock the sync either way, so the reader can finish.
+            release_tx.send(()).unwrap();
+            got
+        });
+        assert_eq!(
+            in_flight.expect("stats() must not wait for the in-flight sync"),
+            DaemonStats::default(),
+            "the round is recorded when it ends"
+        );
+        daemon.shutdown();
+        assert_eq!(daemon.stats().rounds, 1);
+        assert_eq!(daemon.stats().failures, 0);
+    }
+
+    #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
         let conn = |_req: Request| -> Result<Reply, String> {
-            Ok(Reply::Sigs {
+            Ok(Reply::Delta {
                 from: 0,
+                total: 0,
                 sigs: vec![],
             })
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(conn, repo, Duration::from_secs(3600));
+        let mut daemon = ClientDaemon::spawn(move || Ok(conn), repo, Duration::from_secs(3600), 0);
         daemon.shutdown();
         daemon.shutdown();
         drop(daemon);

@@ -18,7 +18,7 @@
 //! All three flavors share the [`Connect`] session-factory trait:
 //! [`TcpConnect`], [`PipelinedConnect`], and [`MultiConnect`] each dial
 //! a fresh session on demand, so a daemon spawned with
-//! [`ClientDaemon::spawn_connect`] redials after a server restart and
+//! [`ClientDaemon::spawn`] redials after a server restart and
 //! resumes syncing against the recovered durable store (the epoch-aware
 //! [`sync_delta`] handles a compacted, renumbered server log).
 

@@ -502,16 +502,17 @@ mod tests {
     }
 
     /// `ClientDaemon` runs over a `MultiClient` unchanged: the pool is
-    /// just another `Connector`.
+    /// just another `Connector`, dialed through `MultiConnect`.
     #[test]
     fn client_daemon_runs_over_a_reactor_pool() {
         let calls = Arc::new(AtomicU64::new(0));
         let calls2 = calls.clone();
         let handler: Handler = Arc::new(move |req| match req {
-            Request::Get { from } => {
+            Request::GetDelta { from, .. } => {
                 calls2.fetch_add(1, Ordering::SeqCst);
-                Reply::Sigs {
+                Reply::Delta {
                     from,
+                    total: from + 1,
                     sigs: vec![format!("s{from}")],
                 }
             }
@@ -520,9 +521,9 @@ mod tests {
             },
         });
         let mut server = TcpServer::bind("127.0.0.1:0", handler).unwrap();
-        let multi = MultiClient::connect(server.addr(), 2, PipelineConfig::default()).unwrap();
+        let connect = crate::MultiConnect::new(server.addr(), 2);
         let repo = Arc::new(Mutex::new(crate::LocalRepository::in_memory()));
-        let mut daemon = crate::ClientDaemon::spawn(multi, repo, Duration::from_millis(10));
+        let mut daemon = crate::ClientDaemon::spawn(connect, repo, Duration::from_millis(10), 0);
         let deadline = Instant::now() + Duration::from_secs(10);
         while calls.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));

@@ -376,7 +376,7 @@ mod tests {
         let accepted = a.upload_pending(&mut conn_a).unwrap();
         assert_eq!(accepted, 1);
         assert!(a.pending_uploads().is_empty());
-        assert_eq!(srv.db().len(), 1);
+        assert_eq!(srv.store().len(), 1);
 
         // Node B never deadlocked; it syncs, starts (validation defers on
         // nesting), shuts down (analysis + recheck), then runs protected.
@@ -418,7 +418,7 @@ mod tests {
         let accepted = a.upload_pending_batched(&mut conn_a).unwrap();
         assert_eq!(accepted, 1);
         assert!(a.pending_uploads().is_empty());
-        assert_eq!(srv.db().len(), 1);
+        assert_eq!(srv.store().len(), 1);
         assert_eq!(srv.stats().batches, 1);
 
         let mut b = CommunixNode::new(app.program().clone(), NodeConfig::for_user(2));

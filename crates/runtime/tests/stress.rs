@@ -11,7 +11,8 @@
 //! path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use communix_dimmunix::{DimmunixConfig, Event, LockId};
 use communix_runtime::DlxRuntime;
@@ -19,6 +20,8 @@ use communix_runtime::DlxRuntime;
 const ACCOUNTS: usize = 6;
 const THREADS: usize = 6;
 const TRANSFERS_PER_THREAD: usize = 40;
+/// How long a teller holds the debited account before crediting.
+const DEBIT_TIME: Duration = Duration::from_micros(200);
 
 /// Runs a randomized transfer workload; returns (completed, aborted,
 /// deadlocks detected during this phase).
@@ -28,9 +31,14 @@ fn run_phase(rt: &DlxRuntime, seed: u64) -> (u64, u64, usize) {
         .collect();
     let completed = Arc::new(AtomicU64::new(0));
     let aborted = Arc::new(AtomicU64::new(0));
+    // Every teller starts each transfer round together, holding no
+    // lock, so transfers overlap by construction rather than by
+    // scheduler luck.
+    let round_start = Barrier::new(THREADS);
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
+            let round_start = &round_start;
             let rt = rt.clone();
             let accounts = accounts.clone();
             let completed = completed.clone();
@@ -49,6 +57,7 @@ fn run_phase(rt: &DlxRuntime, seed: u64) -> (u64, u64, usize) {
                     (state >> 33) as usize
                 };
                 for _ in 0..TRANSFERS_PER_THREAD {
+                    round_start.wait();
                     let from = next() % ACCOUNTS;
                     let mut to = next() % ACCOUNTS;
                     if to == from {
@@ -65,6 +74,10 @@ fn run_phase(rt: &DlxRuntime, seed: u64) -> (u64, u64, usize) {
                             continue;
                         }
                         Ok(guard_a) => {
+                            // Debit takes a moment: the other tellers,
+                            // released by the same barrier, reach their
+                            // first lock while this one is held.
+                            std::thread::sleep(DEBIT_TIME);
                             thread.push_frame("bank.Teller", "credit", 11);
                             match thread.lock(accounts[to]) {
                                 Ok(guard_b) => {

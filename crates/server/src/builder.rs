@@ -1,20 +1,14 @@
 //! One front door for standing up a Communix server.
 //!
-//! Historically the crate grew three parallel entry points — [`serve`]
-//! (event transport), [`serve_reactors`] (event transport with an
-//! explicit shard count), and [`serve_threaded`] /
-//! `TcpServer::threaded` (the thread-per-connection baseline) — each
-//! taking a pre-built [`CommunixServer`] and a loose
-//! [`TcpServerConfig`]. [`ServerBuilder`] collapses them: every knob
-//! (server tunables, durability, transport choice, reactor shards,
-//! telemetry, clock) is a chainable method, and the old functions
-//! survive as thin shims over the builder so existing callers compile
-//! unchanged.
+//! [`ServerBuilder`] assembles the server (rate limit, optional
+//! durability) and binds its TCP transport (event-driven by default,
+//! thread-per-connection with [`ServerBuilder::threaded`], transport
+//! tunables such as the reactor count through
+//! [`ServerBuilder::tcp_config`]). The transport records into the
+//! server's telemetry registry, so one `STATS` reply covers both.
 //!
 //! ```no_run
 //! let (server, tcp) = communix_server::builder()
-//!     .db_shards(32)
-//!     .reactors(4)
 //!     .serve("127.0.0.1:0")
 //!     .unwrap();
 //! println!("listening on {} via {}", tcp.addr(), tcp.transport());
@@ -34,27 +28,13 @@
 
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
 
-use communix_clock::{Clock, SystemClock};
+use communix_clock::SystemClock;
 use communix_net::{Handler, TcpServer, TcpServerConfig};
 use communix_telemetry::Registry;
 
 use crate::server::{CommunixServer, ServerConfig};
 use crate::store::DurabilityConfig;
-
-#[allow(unused_imports)] // rustdoc links in the module docs above
-use crate::transport::{serve, serve_reactors, serve_threaded};
-
-/// Which transport [`ServerBuilder::serve`] binds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// The event-driven readiness loop (the C10K default).
-    #[default]
-    Event,
-    /// The thread-per-connection baseline.
-    Threaded,
-}
 
 /// Builder for a [`CommunixServer`] and (optionally) its TCP transport.
 /// Start from [`builder`](crate::builder); finish with
@@ -64,11 +44,8 @@ pub enum TransportKind {
 pub struct ServerBuilder {
     config: ServerConfig,
     durability: Option<DurabilityConfig>,
-    transport: TransportKind,
+    threaded: bool,
     tcp: TcpServerConfig,
-    clock: Option<Arc<dyn Clock>>,
-    registry: Option<Arc<Registry>>,
-    prebuilt: Option<Arc<CommunixServer>>,
 }
 
 impl ServerBuilder {
@@ -76,27 +53,6 @@ impl ServerBuilder {
     #[must_use]
     pub fn daily_limit(mut self, limit: usize) -> Self {
         self.config.daily_limit = limit;
-        self
-    }
-
-    /// Signature-store shards; `0` selects the single-lock baseline.
-    #[must_use]
-    pub fn db_shards(mut self, shards: usize) -> Self {
-        self.config.db_shards = shards;
-        self
-    }
-
-    /// Server-side `GET_DELTA` reply window.
-    #[must_use]
-    pub fn delta_window(mut self, window: usize) -> Self {
-        self.config.delta_window = window;
-        self
-    }
-
-    /// Replaces the whole [`ServerConfig`] at once.
-    #[must_use]
-    pub fn config(mut self, config: ServerConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -115,72 +71,20 @@ impl ServerBuilder {
         self
     }
 
-    /// Uses the event-driven transport (the default).
-    #[must_use]
-    pub fn event(mut self) -> Self {
-        self.transport = TransportKind::Event;
-        self
-    }
-
-    /// Uses the thread-per-connection baseline transport.
+    /// Uses the thread-per-connection baseline transport instead of the
+    /// event-driven readiness loop.
     #[must_use]
     pub fn threaded(mut self) -> Self {
-        self.transport = TransportKind::Threaded;
+        self.threaded = true;
         self
     }
 
-    /// Reactor shards for the event transport (`0` sizes to the
-    /// machine).
-    #[must_use]
-    pub fn reactors(mut self, reactors: usize) -> Self {
-        self.tcp.reactors = reactors;
-        self
-    }
-
-    /// Idle-connection eviction bound (`None` disables eviction).
-    #[must_use]
-    pub fn idle_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.tcp.idle_timeout = timeout;
-        self
-    }
-
-    /// Forces the portable `poll(2)` backend even where epoll exists.
-    #[must_use]
-    pub fn force_poll_backend(mut self, force: bool) -> Self {
-        self.tcp.force_poll_backend = force;
-        self
-    }
-
-    /// Replaces the whole [`TcpServerConfig`] at once (its `registry`
-    /// field defaults to the server's own at serve time).
+    /// Transport tunables (reactor shards, idle timeout, poller
+    /// backend). Its `registry` field defaults to the server's own at
+    /// serve time.
     #[must_use]
     pub fn tcp_config(mut self, config: TcpServerConfig) -> Self {
         self.tcp = config;
-        self
-    }
-
-    /// Telemetry registry the server (and transport) record into;
-    /// default is a fresh registry per server.
-    #[must_use]
-    pub fn registry(mut self, registry: Arc<Registry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Clock driving rate limiting (tests pass a `VirtualClock`).
-    #[must_use]
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-
-    /// Serves an existing server instead of building one — the bridge
-    /// the legacy `serve*` shims ride through. Server-side knobs
-    /// (`daily_limit`, `db_shards`, `durable`, `registry`, `clock`) are
-    /// ignored when a server is attached; transport knobs still apply.
-    #[must_use]
-    pub fn attach(mut self, server: Arc<CommunixServer>) -> Self {
-        self.prebuilt = Some(server);
         self
     }
 
@@ -191,17 +95,25 @@ impl ServerBuilder {
     ///
     /// Propagates durable-store recovery failures.
     pub fn build(self) -> io::Result<Arc<CommunixServer>> {
-        Ok(self.build_parts()?.0)
+        let clock = Arc::new(SystemClock::new());
+        let registry = Arc::new(Registry::new());
+        Ok(Arc::new(match self.durability {
+            Some(durability) => {
+                CommunixServer::open_durable(self.config, durability, clock, registry)?
+            }
+            None => CommunixServer::with_registry(self.config, clock, registry),
+        }))
     }
 
-    /// Builds (or reuses the attached) server and binds it on `addr`
-    /// (port 0 for ephemeral) over the configured transport.
+    /// Builds the server and binds it on `addr` (port 0 for ephemeral)
+    /// over the configured transport.
     ///
     /// # Errors
     ///
     /// Propagates durable-store recovery and bind failures.
-    pub fn serve(self, addr: &str) -> io::Result<(Arc<CommunixServer>, TcpServer)> {
-        let (server, transport, mut tcp) = self.build_parts()?;
+    pub fn serve(mut self, addr: &str) -> io::Result<(Arc<CommunixServer>, TcpServer)> {
+        let (threaded, mut tcp) = (self.threaded, std::mem::take(&mut self.tcp));
+        let server = self.build()?;
         if tcp.registry.is_none() {
             tcp.registry = Some(server.telemetry().clone());
         }
@@ -209,65 +121,41 @@ impl ServerBuilder {
             let server = server.clone();
             Arc::new(move |req| server.handle(req))
         };
-        let tcp_server = match transport {
-            TransportKind::Event => TcpServer::bind_with(addr, handler, tcp)?,
-            TransportKind::Threaded => TcpServer::threaded_with(addr, handler, tcp)?,
+        let tcp_server = if threaded {
+            TcpServer::threaded_with(addr, handler, tcp)?
+        } else {
+            TcpServer::bind_with(addr, handler, tcp)?
         };
         Ok((server, tcp_server))
-    }
-
-    fn build_parts(self) -> io::Result<(Arc<CommunixServer>, TransportKind, TcpServerConfig)> {
-        let server = match self.prebuilt {
-            Some(server) => server,
-            None => {
-                let clock = self.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
-                let registry = self.registry.unwrap_or_else(|| Arc::new(Registry::new()));
-                match self.durability {
-                    Some(durability) => Arc::new(CommunixServer::open_durable(
-                        self.config,
-                        durability,
-                        clock,
-                        registry,
-                    )?),
-                    None => Arc::new(CommunixServer::with_registry(self.config, clock, registry)),
-                }
-            }
-        };
-        Ok((server, self.transport, self.tcp))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use communix_clock::VirtualClock;
     use communix_net::{Reply, Request, TcpClient};
 
     #[test]
     fn builder_defaults_match_server_defaults() {
         let server = crate::builder().build().unwrap();
-        assert_eq!(server.db().shard_count(), crate::DEFAULT_SHARDS);
+        assert_eq!(server.store().shard_count(), crate::DEFAULT_SHARDS);
         assert!(!server.store().is_durable());
     }
 
     #[test]
-    fn builder_knobs_reach_the_server() {
-        let clock = Arc::new(VirtualClock::new());
-        let registry = Arc::new(Registry::new());
-        let server = crate::builder()
-            .daily_limit(2)
-            .db_shards(0)
-            .delta_window(1)
-            .clock(clock)
-            .registry(registry.clone())
-            .build()
-            .unwrap();
-        assert_eq!(server.db().shard_count(), 1, "db_shards(0) = single lock");
-        assert!(Arc::ptr_eq(server.telemetry(), &registry));
-        let Reply::Delta { sigs, .. } = server.handle(Request::GetDelta { from: 0, max: 0 }) else {
-            panic!("expected Delta")
+    fn daily_limit_reaches_the_server() {
+        let server = crate::builder().daily_limit(1).build().unwrap();
+        let sender = server.authority().issue(1);
+        let add = |sig_text: String| server.handle(Request::Add { sender, sig_text });
+        assert!(matches!(
+            add(test_sig()),
+            Reply::AddAck { accepted: true, .. }
+        ));
+        let Reply::AddAck { accepted, reason } = add(other_sig()) else {
+            panic!("expected AddAck")
         };
-        assert!(sigs.is_empty());
+        assert!(!accepted);
+        assert_eq!(reason, "daily signature budget exhausted");
     }
 
     #[test]
@@ -295,23 +183,71 @@ mod tests {
         ));
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn builder_reactor_knob_matches_serve_reactors() {
-        let (_server, tcp) = crate::builder().reactors(2).serve("127.0.0.1:0").unwrap();
-        assert_eq!(tcp.reactors(), 2);
+    /// Every numeric leaf of a `STATS` reply's JSON, looked up by path.
+    fn stats_lookup(c: &mut TcpClient) -> impl Fn(&str) -> f64 {
+        let Reply::Stats { json } = c.call(&Request::Stats).unwrap() else {
+            panic!("expected Stats reply");
+        };
+        let nums = communix_telemetry::json::flatten_numbers(&json).expect("valid json");
+        move |path: &str| {
+            nums.iter()
+                .find(|(p, _)| p == path)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("missing {path} in {json}"))
+        }
     }
 
     #[test]
-    fn attach_serves_an_existing_server() {
-        let existing = crate::builder().daily_limit(3).build().unwrap();
-        let (served, tcp) = crate::builder()
-            .attach(existing.clone())
-            .threaded()
+    fn stats_over_tcp_covers_server_and_transport() {
+        let (server, tcp) = crate::builder().serve("127.0.0.1:0").unwrap();
+        assert!(
+            Arc::ptr_eq(server.telemetry(), tcp.telemetry()),
+            "transport must share the server's registry"
+        );
+        let mut c = TcpClient::connect(tcp.addr()).unwrap();
+        c.call(&Request::Get { from: 0 }).unwrap();
+        let find = stats_lookup(&mut c);
+        // One snapshot sees the request path *and* the connection layer.
+        assert_eq!(find("counters.server.gets"), 1.0);
+        assert_eq!(find("counters.transport.accepted"), 1.0);
+        assert_eq!(find("gauges.transport.connections.current"), 1.0);
+        assert_eq!(find("histograms.server.latency.get.count"), 1.0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn stats_snapshot_spans_every_reactor_shard() {
+        let (_server, tcp) = crate::builder()
+            .tcp_config(TcpServerConfig {
+                reactors: 4,
+                ..TcpServerConfig::default()
+            })
             .serve("127.0.0.1:0")
             .unwrap();
-        assert!(Arc::ptr_eq(&existing, &served));
-        assert_eq!(tcp.transport(), "threaded");
+        assert_eq!(tcp.reactors(), 4);
+        // Several live connections so the accept thread has something to
+        // spread; each makes a call so every shard's loop actually ran.
+        let mut clients: Vec<TcpClient> = (0..6)
+            .map(|_| TcpClient::connect(tcp.addr()).unwrap())
+            .collect();
+        for c in &mut clients {
+            c.call(&Request::Get { from: 0 }).unwrap();
+        }
+        let find = stats_lookup(&mut clients[0]);
+        let per_shard: f64 = (0..4)
+            .map(|i| find(&format!("gauges.transport.reactor.{i}.connections.current")))
+            .sum();
+        assert_eq!(per_shard, find("gauges.transport.connections.current"));
+        assert_eq!(per_shard, 6.0);
+        assert_eq!(
+            find("counters.transport.accept_handoffs"),
+            find("counters.transport.accepted")
+        );
+        let shard_frames: f64 = (0..4)
+            .map(|i| find(&format!("counters.transport.reactor.{i}.frames")))
+            .sum();
+        // 6 GETs + 1 STATS, every one decoded on some shard.
+        assert_eq!(shard_frames, 7.0);
     }
 
     #[test]
@@ -343,16 +279,24 @@ mod tests {
         }
         let server = crate::builder().durable(&dir).build().unwrap();
         assert_eq!(server.store().recovery().wal_records, 1);
-        assert_eq!(server.db().get_from(0), vec![sig]);
+        assert_eq!(server.store().get_from(0), vec![sig]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A minimal parseable signature (depth ≥ 1 on both stacks).
     fn test_sig() -> String {
+        sig_in("app.C")
+    }
+
+    /// A signature sharing no frame with [`test_sig`], so not adjacent.
+    fn other_sig() -> String {
+        sig_in("app.D")
+    }
+
+    fn sig_in(class: &str) -> String {
         use communix_dimmunix::{CallStack, Frame, SigEntry, Signature};
-        let deep = |base: u32| -> CallStack {
-            (0..6).map(|i| Frame::new("app.C", "f", base + i)).collect()
-        };
+        let deep =
+            |base: u32| -> CallStack { (0..6).map(|i| Frame::new(class, "f", base + i)).collect() };
         Signature::local(vec![
             SigEntry::new(deep(100), deep(500)),
             SigEntry::new(deep(200), deep(600)),

@@ -20,10 +20,6 @@
 //!   log up to the *committed* watermark without taking any
 //!   per-signature lock, so the O(N) GET(0) walk no longer blocks
 //!   writers (and vice versa).
-//!
-//! The pre-sharding implementation — one `RwLock` around a contiguous
-//! `Vec` — is preserved behind [`SignatureDb::single_lock`] as the
-//! benchmark baseline (`server_throughput` compares the two).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
@@ -41,7 +37,7 @@ const SEG_SHIFT: usize = 10;
 /// Signatures per log segment.
 const SEG_LEN: usize = 1 << SEG_SHIFT;
 
-/// Per-shard usage counters (see [`SignatureDb::shard_stats`]).
+/// Per-shard usage counters (see [`Store::shard_stats`](crate::Store::shard_stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Signatures whose dedup entry lives in this shard.
@@ -53,223 +49,26 @@ pub struct ShardStats {
 /// Thread-safe append-only signature store with exact-duplicate
 /// suppression.
 #[derive(Debug)]
-pub struct SignatureDb {
-    store: Store,
-}
-
-#[derive(Debug)]
-enum Store {
-    SingleLock(Legacy),
-    Sharded(Sharded),
-}
-
-impl Default for SignatureDb {
-    fn default() -> Self {
-        SignatureDb::new()
-    }
-}
-
-impl SignatureDb {
-    /// Creates an empty sharded database with [`DEFAULT_SHARDS`] shards.
-    pub fn new() -> Self {
-        SignatureDb::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty sharded database with `shards` dedup shards
-    /// (clamped to at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        SignatureDb {
-            store: Store::Sharded(Sharded::new(shards.max(1))),
-        }
-    }
-
-    /// Creates the pre-sharding store: one `RwLock` around a contiguous
-    /// `Vec`, where the O(N) GET(0) walk and every ADD contend on the
-    /// same lock. Kept as the measured baseline for the
-    /// `server_throughput` benchmark.
-    pub fn single_lock() -> Self {
-        SignatureDb {
-            store: Store::SingleLock(Legacy::default()),
-        }
-    }
-
-    /// Number of dedup shards (1 for the single-lock baseline).
-    pub fn shard_count(&self) -> usize {
-        match &self.store {
-            Store::SingleLock(_) => 1,
-            Store::Sharded(s) => s.shards.len(),
-        }
-    }
-
-    /// Appends `sig_text` unless an identical signature is already
-    /// stored. Returns `(index, newly_added)`.
-    pub fn add(&self, sig_text: &str) -> (usize, bool) {
-        match &self.store {
-            Store::SingleLock(l) => l.add(sig_text),
-            Store::Sharded(s) => s.add(sig_text),
-        }
-    }
-
-    /// Index of `sig_text` if it is already stored. Takes only a shard
-    /// *read* lock — this is the server's dedup fast path.
-    pub fn contains(&self, sig_text: &str) -> Option<usize> {
-        match &self.store {
-            Store::SingleLock(l) => l.contains(sig_text),
-            Store::Sharded(s) => s.contains(sig_text),
-        }
-    }
-
-    /// All signatures from index `from` (clones; the caller ships them).
-    pub fn get_from(&self, from: usize) -> Vec<String> {
-        match &self.store {
-            Store::SingleLock(l) => l.get_from(from),
-            Store::Sharded(s) => {
-                let total = s.log.committed();
-                s.log.collect(from as u64, total)
-            }
-        }
-    }
-
-    /// At most `max` signatures from index `from`, plus the current
-    /// total — the server-side windowing behind `GET_DELTA`. `max == 0`
-    /// means "no client-side cap" (the server still applies its own).
-    pub fn delta(&self, from: usize, max: usize) -> (Vec<String>, usize) {
-        match &self.store {
-            Store::SingleLock(l) => l.delta(from, max),
-            Store::Sharded(s) => {
-                let total = s.log.committed();
-                let from = (from as u64).min(total);
-                let cap = if max == 0 {
-                    total
-                } else {
-                    from.saturating_add(max as u64)
-                };
-                (s.log.collect(from, cap.min(total)), total as usize)
-            }
-        }
-    }
-
-    /// Walks the database from index `from` without materializing a
-    /// reply, returning `(count, bytes)` of what a GET would ship.
-    ///
-    /// This is the "iterating through the entire database" computation
-    /// Figure 2 measures: the in-process benchmark isolates the server's
-    /// CPU work from reply-buffer allocation (the end-to-end path with
-    /// real replies is measured separately in Figure 3). In the sharded
-    /// store the walk runs over the global append log — still one
-    /// contiguous index space, no per-shard reassembly — and touches no
-    /// shard lock.
-    pub fn scan_from(&self, from: usize) -> (usize, usize) {
-        match &self.store {
-            Store::SingleLock(l) => l.scan_from(from),
-            Store::Sharded(s) => {
-                let total = s.log.committed();
-                s.log.scan(from as u64, total)
-            }
-        }
-    }
-
-    /// Per-shard `(count, bytes)` counters. Their sums equal
-    /// [`SignatureDb::len`] / [`SignatureDb::stored_bytes`] whenever no
-    /// add is mid-flight (counters are bumped inside the shard write
-    /// lock, before the log slot is published). The single-lock baseline
-    /// reports itself as one shard.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        match &self.store {
-            Store::SingleLock(l) => {
-                let (sigs, bytes) = l.scan_from(0);
-                vec![ShardStats { sigs, bytes }]
-            }
-            Store::Sharded(s) => s
-                .shards
-                .iter()
-                .map(|sh| ShardStats {
-                    sigs: sh.count.load(Ordering::Acquire),
-                    bytes: sh.bytes.load(Ordering::Acquire),
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of stored signatures.
-    pub fn len(&self) -> usize {
-        match &self.store {
-            Store::SingleLock(l) => l.len(),
-            Store::Sharded(s) => s.log.committed() as usize,
-        }
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total bytes of stored signature text (reporting).
-    pub fn stored_bytes(&self) -> usize {
-        match &self.store {
-            Store::SingleLock(l) => l.stored_bytes(),
-            Store::Sharded(s) => s
-                .shards
-                .iter()
-                .map(|sh| sh.bytes.load(Ordering::Acquire))
-                .sum(),
-        }
-    }
-
-    /// Dedup-map entries at or above log index `from`, sorted by index —
-    /// the adds whose dedup insert has happened but whose log slot may
-    /// still be below the committed watermark. The durable store's
-    /// snapshotter appends these to the committed prefix so that a
-    /// signature whose WAL record predates a snapshot cut can never be
-    /// dropped by the compaction that follows (its dedup insert strictly
-    /// precedes its WAL append).
-    pub(crate) fn tail_entries(&self, from: usize) -> Vec<String> {
-        match &self.store {
-            // The single-lock store commits atomically under its one
-            // lock; there is no in-flight tail to capture.
-            Store::SingleLock(_) => Vec::new(),
-            Store::Sharded(s) => {
-                let mut tail: Vec<(u64, String)> = Vec::new();
-                for shard in s.shards.iter() {
-                    for (text, &i) in shard.index.read().iter() {
-                        if i >= from as u64 {
-                            tail.push((i, text.clone()));
-                        }
-                    }
-                }
-                tail.sort_by_key(|&(i, _)| i);
-                tail.into_iter().map(|(_, text)| text).collect()
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded store
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-struct Sharded {
+pub(crate) struct SignatureDb {
     shards: Box<[Shard]>,
     hasher: RandomState,
     log: AppendLog,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    /// Signature text → global log index.
-    index: RwLock<HashMap<String, u64>>,
-    count: AtomicUsize,
-    bytes: AtomicUsize,
-}
-
-impl Sharded {
-    fn new(shards: usize) -> Self {
-        Sharded {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+impl SignatureDb {
+    /// Creates an empty database with `shards` dedup shards (clamped to
+    /// at least 1).
+    pub(crate) fn with_shards(shards: usize) -> Self {
+        SignatureDb {
+            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             hasher: RandomState::new(),
             log: AppendLog::default(),
         }
+    }
+
+    /// Number of dedup shards.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     fn shard_of(&self, sig_text: &str) -> &Shard {
@@ -281,15 +80,9 @@ impl Sharded {
         &self.shards[(self.hasher.hash_one(sig_text) as usize) % self.shards.len()]
     }
 
-    fn contains(&self, sig_text: &str) -> Option<usize> {
-        self.shard_of(sig_text)
-            .index
-            .read()
-            .get(sig_text)
-            .map(|&i| i as usize)
-    }
-
-    fn add(&self, sig_text: &str) -> (usize, bool) {
+    /// Appends `sig_text` unless an identical signature is already
+    /// stored. Returns `(index, newly_added)`.
+    pub(crate) fn add(&self, sig_text: &str) -> (usize, bool) {
         let shard = self.shard_of(sig_text);
         // Fast path: read lock for the duplicate probe.
         if let Some(&i) = shard.index.read().get(sig_text) {
@@ -309,6 +102,108 @@ impl Sharded {
         self.log.publish(i, sig_text.to_string());
         (i as usize, true)
     }
+
+    /// Index of `sig_text` if it is already stored. Takes only a shard
+    /// *read* lock — this is the server's dedup fast path.
+    pub(crate) fn contains(&self, sig_text: &str) -> Option<usize> {
+        self.shard_of(sig_text)
+            .index
+            .read()
+            .get(sig_text)
+            .map(|&i| i as usize)
+    }
+
+    /// All signatures from index `from` (clones; the caller ships them).
+    pub(crate) fn get_from(&self, from: usize) -> Vec<String> {
+        self.log.collect(from as u64, self.log.committed())
+    }
+
+    /// At most `max` signatures from index `from`, plus the current
+    /// total — the server-side windowing behind `GET_DELTA`. `max == 0`
+    /// means "no client-side cap" (the server still applies its own).
+    pub(crate) fn delta(&self, from: usize, max: usize) -> (Vec<String>, usize) {
+        let total = self.log.committed();
+        let from = (from as u64).min(total);
+        let cap = if max == 0 {
+            total
+        } else {
+            from.saturating_add(max as u64)
+        };
+        (self.log.collect(from, cap.min(total)), total as usize)
+    }
+
+    /// Walks the database from index `from` without materializing a
+    /// reply, returning `(count, bytes)` of what a GET would ship.
+    ///
+    /// This is the "iterating through the entire database" computation
+    /// Figure 2 measures: the in-process benchmark isolates the server's
+    /// CPU work from reply-buffer allocation (the end-to-end path with
+    /// real replies is measured separately in Figure 3). The walk runs
+    /// over the global append log — one contiguous index space, no
+    /// per-shard reassembly — and touches no shard lock.
+    pub(crate) fn scan_from(&self, from: usize) -> (usize, usize) {
+        self.log.scan(from as u64, self.log.committed())
+    }
+
+    /// Per-shard `(count, bytes)` counters. Their sums equal
+    /// [`SignatureDb::len`] / [`SignatureDb::stored_bytes`] whenever no
+    /// add is mid-flight (counters are bumped inside the shard write
+    /// lock, before the log slot is published).
+    pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
+        self.shards
+            .iter()
+            .map(|sh| ShardStats {
+                sigs: sh.count.load(Ordering::Acquire),
+                bytes: sh.bytes.load(Ordering::Acquire),
+            })
+            .collect()
+    }
+
+    /// Number of stored signatures.
+    pub(crate) fn len(&self) -> usize {
+        self.log.committed() as usize
+    }
+
+    /// Whether the database is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total bytes of stored signature text (reporting).
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|sh| sh.bytes.load(Ordering::Acquire))
+            .sum()
+    }
+
+    /// Dedup-map entries at or above log index `from`, sorted by index —
+    /// the adds whose dedup insert has happened but whose log slot may
+    /// still be below the committed watermark. The durable store's
+    /// snapshotter appends these to the committed prefix so that a
+    /// signature whose WAL record predates a snapshot cut can never be
+    /// dropped by the compaction that follows (its dedup insert strictly
+    /// precedes its WAL append).
+    pub(crate) fn tail_entries(&self, from: usize) -> Vec<String> {
+        let mut tail: Vec<(u64, String)> = Vec::new();
+        for shard in self.shards.iter() {
+            for (text, &i) in shard.index.read().iter() {
+                if i >= from as u64 {
+                    tail.push((i, text.clone()));
+                }
+            }
+        }
+        tail.sort_by_key(|&(i, _)| i);
+        tail.into_iter().map(|(_, text)| text).collect()
+    }
+}
+
+#[derive(Debug, Default)]
+struct Shard {
+    /// Signature text → global log index.
+    index: RwLock<HashMap<String, u64>>,
+    count: AtomicUsize,
+    bytes: AtomicUsize,
 }
 
 /// A segmented append-only log of signature texts.
@@ -420,89 +315,17 @@ impl AppendLog {
     }
 }
 
-// ---------------------------------------------------------------------
-// Single-lock baseline (the pre-sharding implementation, verbatim)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct Legacy {
-    inner: RwLock<LegacyInner>,
-}
-
-#[derive(Debug, Default)]
-struct LegacyInner {
-    sigs: Vec<String>,
-    index: HashMap<String, usize>,
-}
-
-impl Legacy {
-    fn add(&self, sig_text: &str) -> (usize, bool) {
-        if let Some(&i) = self.inner.read().index.get(sig_text) {
-            return (i, false);
-        }
-        let mut inner = self.inner.write();
-        if let Some(&i) = inner.index.get(sig_text) {
-            return (i, false);
-        }
-        let i = inner.sigs.len();
-        inner.sigs.push(sig_text.to_string());
-        inner.index.insert(sig_text.to_string(), i);
-        (i, true)
-    }
-
-    fn contains(&self, sig_text: &str) -> Option<usize> {
-        self.inner.read().index.get(sig_text).copied()
-    }
-
-    fn get_from(&self, from: usize) -> Vec<String> {
-        let inner = self.inner.read();
-        if from >= inner.sigs.len() {
-            return Vec::new();
-        }
-        inner.sigs[from..].to_vec()
-    }
-
-    fn delta(&self, from: usize, max: usize) -> (Vec<String>, usize) {
-        let inner = self.inner.read();
-        let total = inner.sigs.len();
-        let from = from.min(total);
-        let to = if max == 0 {
-            total
-        } else {
-            from.saturating_add(max).min(total)
-        };
-        (inner.sigs[from..to].to_vec(), total)
-    }
-
-    fn scan_from(&self, from: usize) -> (usize, usize) {
-        let inner = self.inner.read();
-        if from >= inner.sigs.len() {
-            return (0, 0);
-        }
-        let slice = &inner.sigs[from..];
-        (slice.len(), slice.iter().map(String::len).sum())
-    }
-
-    fn len(&self) -> usize {
-        self.inner.read().sigs.len()
-    }
-
-    fn stored_bytes(&self) -> usize {
-        self.inner.read().sigs.iter().map(String::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every test runs against both implementations.
+    /// Every test runs against the default, an odd, and the one-shard
+    /// shard count.
     fn both() -> Vec<SignatureDb> {
-        vec![
-            SignatureDb::new(),
-            SignatureDb::with_shards(3),
-            SignatureDb::single_lock(),
-        ]
+        [DEFAULT_SHARDS, 3, 1]
+            .into_iter()
+            .map(SignatureDb::with_shards)
+            .collect()
     }
 
     #[test]
@@ -624,7 +447,7 @@ mod tests {
 
     #[test]
     fn concurrent_adds_unique_indices() {
-        for db in [SignatureDb::new(), SignatureDb::single_lock()] {
+        for db in both() {
             let db = std::sync::Arc::new(db);
             let mut handles = Vec::new();
             for t in 0..8 {
@@ -650,7 +473,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_text_added_once() {
-        for db in [SignatureDb::new(), SignatureDb::single_lock()] {
+        for db in both() {
             let db = std::sync::Arc::new(db);
             let mut handles = Vec::new();
             for _ in 0..8 {
@@ -670,7 +493,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_contiguous_prefixes() {
-        let db = std::sync::Arc::new(SignatureDb::new());
+        let db = std::sync::Arc::new(SignatureDb::with_shards(DEFAULT_SHARDS));
         let writer = {
             let db = db.clone();
             std::thread::spawn(move || {

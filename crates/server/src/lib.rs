@@ -3,9 +3,9 @@
 //! server-side validation of §III-C2 (encrypted sender ids, adjacency
 //! rejection, 10-per-day rate limiting).
 //!
-//! Standing a server up goes through one front door, [`builder`]:
-//! transport, reactor shards, durability, and telemetry are all
-//! chainable knobs (see [`ServerBuilder`]). The signature store is
+//! Standing a server up goes through one front door, [`builder`] (see
+//! [`ServerBuilder`]): rate limit, durability, transport choice and
+//! transport tunables. The signature store is
 //! durable when asked ([`ServerBuilder::durable`]): accepted signatures
 //! are journaled to a write-ahead log, periodically snapshotted and
 //! compacted, and recovered — snapshot first, then the WAL tail — on
@@ -20,17 +20,15 @@ mod builder;
 mod db;
 mod server;
 pub mod store;
-mod transport;
 
 pub use auth::IdAuthority;
-pub use builder::{ServerBuilder, TransportKind};
-pub use db::{ShardStats, SignatureDb, DEFAULT_SHARDS};
+pub use builder::ServerBuilder;
+pub use db::{ShardStats, DEFAULT_SHARDS};
 pub use server::{CommunixServer, RejectReason, ServerConfig, ServerStats};
 pub use store::{DurabilityConfig, RecoveryReport, Store};
-pub use transport::{serve, serve_reactors, serve_threaded, serve_with};
 
 /// Starts a [`ServerBuilder`] with every knob at its default (event
-/// transport, in-memory store, fresh telemetry registry).
+/// transport, in-memory store, system clock, fresh telemetry registry).
 pub fn builder() -> ServerBuilder {
     ServerBuilder::default()
 }

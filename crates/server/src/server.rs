@@ -15,7 +15,7 @@
 //! The request path is built so the common cases never serialize on a
 //! single lock:
 //!
-//! * the database is sharded (see [`SignatureDb`]); exact duplicates are
+//! * the database is sharded (see [`Store`]); exact duplicates are
 //!   detected with shard *read* locks before the signature is even
 //!   parsed, so re-sent signatures never take a write lock or touch
 //!   per-user validation state;
@@ -51,7 +51,6 @@ use communix_telemetry::{Counter, Histogram, Registry, Snapshot};
 use parking_lot::Mutex;
 
 use crate::auth::IdAuthority;
-use crate::db::SignatureDb;
 use crate::store::{DurabilityConfig, Store};
 
 /// Why an ADD was rejected (mirrored into the wire reply's reason text).
@@ -84,8 +83,7 @@ pub struct ServerConfig {
     /// Maximum signatures processed per sender per day (paper: 10).
     pub daily_limit: usize,
     /// Signature-store shards (also shards the per-user validation
-    /// state). `0` selects the pre-sharding single-lock store — the
-    /// measured baseline of the `server_throughput` benchmark.
+    /// state). `0` is clamped to 1.
     pub db_shards: usize,
     /// Maximum signatures per `GET_DELTA` reply, regardless of what the
     /// client asks for (server-side windowing).
@@ -317,15 +315,9 @@ impl CommunixServer {
         &self.authority
     }
 
-    /// The current in-memory signature database. The returned `Arc`
-    /// pins one epoch: it stays readable across a concurrent GC swap
-    /// (which installs a fresh database under the store).
-    pub fn db(&self) -> Arc<SignatureDb> {
-        self.store.db()
-    }
-
-    /// The unified signature store — durability state (epoch, recovery
-    /// report, explicit `sync`/`snapshot`) lives here.
+    /// The signature store: reads (`len`, `get_from`, `delta`,
+    /// `contains`, per-shard stats) and durability state (epoch,
+    /// recovery report, explicit `sync`/`snapshot`).
     pub fn store(&self) -> &Store {
         &self.store
     }
@@ -536,7 +528,7 @@ impl CommunixServer {
     /// ("iterating through the entire database"); the end-to-end path
     /// with materialized replies is what Figure 3 measures. The walk
     /// runs over the global append log, so its totals match what the
-    /// per-shard [`SignatureDb::shard_stats`] counters sum to.
+    /// per-shard [`Store::shard_stats`] counters sum to.
     pub fn handle_get_scan(&self, from: u64) -> (usize, usize) {
         let r = self.store.scan_from(from as usize);
         self.metrics.gets.inc();
@@ -627,7 +619,7 @@ mod tests {
                 reason: "invalid encrypted sender id".into()
             }
         );
-        assert!(srv.db().is_empty());
+        assert!(srv.store().is_empty());
     }
 
     #[test]
@@ -682,7 +674,7 @@ mod tests {
         ]);
         let r = add(&srv, 2, &adjacent);
         assert!(matches!(r, Reply::AddAck { accepted: true, .. }));
-        assert_eq!(srv.db().len(), 2);
+        assert_eq!(srv.store().len(), 2);
     }
 
     #[test]
@@ -770,7 +762,7 @@ mod tests {
                 reason: "duplicate".into()
             }
         );
-        assert_eq!(srv.db().len(), 1);
+        assert_eq!(srv.store().len(), 1);
     }
 
     #[test]
@@ -932,7 +924,7 @@ mod tests {
         assert_eq!(results[3].reason, "duplicate");
         assert!(results[4].accepted);
         // Only the two fresh valid signatures were stored.
-        assert_eq!(srv.db().len(), 2);
+        assert_eq!(srv.store().len(), 2);
         let s = srv.stats();
         assert_eq!(s.batches, 1);
         assert_eq!(s.adds_accepted, 2);
@@ -963,7 +955,7 @@ mod tests {
         };
         assert_eq!((from, total), (2, 7));
         assert_eq!(sigs.len(), 3);
-        assert_eq!(sigs, srv.db().get_from(2)[..3].to_vec());
+        assert_eq!(sigs, srv.store().get_from(2)[..3].to_vec());
         // max == 0 defers to the server's window.
         let Reply::Delta { sigs, .. } = srv.handle(Request::GetDelta { from: 0, max: 0 }) else {
             panic!("expected Delta");
@@ -1003,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn single_lock_config_still_serves() {
+    fn zero_db_shards_serves_with_one_shard() {
         let clock = Arc::new(VirtualClock::new());
         let srv = CommunixServer::new(
             ServerConfig {
@@ -1012,7 +1004,7 @@ mod tests {
             },
             clock,
         );
-        assert_eq!(srv.db().shard_count(), 1);
+        assert_eq!(srv.store().shard_count(), 1);
         assert!(matches!(
             add(&srv, 1, &sig(1)),
             Reply::AddAck { accepted: true, .. }
@@ -1048,6 +1040,6 @@ mod tests {
             h.join().unwrap();
         }
         // 8 users × 10 sigs, all within daily budget.
-        assert_eq!(srv.db().len(), 80);
+        assert_eq!(srv.store().len(), 80);
     }
 }

@@ -1,10 +1,11 @@
 //! Durable signature store: a write-ahead log + snapshots + bounded GC
-//! wrapped around [`SignatureDb`], behind one unified [`Store`] API.
+//! wrapped around the sharded in-memory signature database, behind one
+//! unified [`Store`] API.
 //!
 //! The immunity network is only useful if accumulated signatures survive
 //! a server restart (ROADMAP "Durable store"). The recoverable-ADT
 //! observation that motivates the design: dedup'd ADDs *commute* — the
-//! in-memory [`SignatureDb::add`] collapses duplicates — so recovery can
+//! in-memory [`Store::add`] collapses duplicates — so recovery can
 //! replay the snapshot and the WAL tail in any interleaving without a
 //! merge step, and a snapshot taken while adds are racing never needs to
 //! quiesce writers.
@@ -178,11 +179,12 @@ impl std::fmt::Debug for Flusher {
     }
 }
 
-/// The unified signature store: [`SignatureDb`] semantics (dedup'd
-/// append-only adds, index-addressed reads) with optional durability.
+/// The unified signature store: dedup'd append-only adds and
+/// index-addressed reads over a sharded in-memory database, with
+/// optional durability.
 ///
-/// In-memory ([`Store::in_memory`]) it is a thin veneer over
-/// [`SignatureDb`]. Durable ([`Store::open`]) it journals every accepted
+/// In-memory ([`Store::in_memory`]) it is a thin veneer over that
+/// database. Durable ([`Store::open`]) it journals every accepted
 /// add to a write-ahead log, periodically snapshots + compacts, and —
 /// with a byte cap — garbage-collects oldest-first under a new epoch.
 /// All methods are thread-safe; reads never block on WAL I/O.
@@ -192,7 +194,7 @@ pub struct Store {
     /// lock across `db.add` + WAL append so a GC cannot strand an add
     /// between the old database and the new WAL epoch.
     inner: RwLock<Arc<SignatureDb>>,
-    /// Shard count for rebuilds (0 = single-lock baseline).
+    /// Shard count for rebuilds.
     shards: usize,
     epoch: AtomicU64,
     wal: Option<Arc<Mutex<Wal>>>,
@@ -209,8 +211,8 @@ pub struct Store {
 }
 
 impl Store {
-    /// An in-memory store with `shards` dedup shards (0 selects the
-    /// single-lock baseline), recording into a private registry.
+    /// An in-memory store with `shards` dedup shards (0 is clamped to
+    /// 1), recording into a private registry.
     pub fn in_memory(shards: usize) -> Self {
         Store::in_memory_with(shards, &Registry::new())
     }
@@ -218,7 +220,7 @@ impl Store {
     /// [`Store::in_memory`] recording into an existing `registry`.
     pub fn in_memory_with(shards: usize, registry: &Registry) -> Self {
         Store {
-            inner: RwLock::new(Arc::new(make_db(shards))),
+            inner: RwLock::new(Arc::new(SignatureDb::with_shards(shards))),
             shards,
             epoch: AtomicU64::new(0),
             wal: None,
@@ -232,8 +234,9 @@ impl Store {
         }
     }
 
-    /// Opens (or creates) a durable store under `config.dir`,
-    /// recovering snapshot-then-WAL-tail.
+    /// Opens (or creates) a durable store under `config.dir` with
+    /// `shards` dedup shards (0 is clamped to 1), recovering
+    /// snapshot-then-WAL-tail.
     ///
     /// # Errors
     ///
@@ -293,13 +296,13 @@ impl Store {
     /// The current in-memory database. The `Arc` pins one epoch's
     /// database: reads through it are coherent even across a concurrent
     /// GC swap (they just see the pre-GC epoch).
-    pub fn db(&self) -> Arc<SignatureDb> {
+    pub(crate) fn db(&self) -> Arc<SignatureDb> {
         self.inner.read().clone()
     }
 
     /// Appends `sig_text` unless already stored; journals genuinely new
-    /// signatures to the WAL. Returns `(index, newly_added)` — exactly
-    /// [`SignatureDb::add`]'s contract.
+    /// signatures to the WAL. Returns `(index, newly_added)`; a
+    /// duplicate returns the stored copy's index.
     pub fn add(&self, sig_text: &str) -> (usize, bool) {
         let (i, added, rec_bytes) = {
             let db = self.inner.read();
@@ -501,7 +504,7 @@ impl Store {
             first_kept += 1;
         }
         let kept = &all[first_kept..];
-        let fresh = make_db(self.shards);
+        let fresh = SignatureDb::with_shards(self.shards);
         for sig in kept {
             fresh.add(sig);
         }
@@ -537,14 +540,6 @@ impl Drop for Store {
         if let Some(wal) = &self.wal {
             let _ = wal.lock().sync();
         }
-    }
-}
-
-fn make_db(shards: usize) -> SignatureDb {
-    if shards == 0 {
-        SignatureDb::single_lock()
-    } else {
-        SignatureDb::with_shards(shards)
     }
 }
 
@@ -805,7 +800,7 @@ fn recover(dir: &Path, shards: usize) -> io::Result<(SignatureDb, RecoveryReport
     // happened, the previous snapshot is still authoritative.
     let _ = fs::remove_file(dir.join(SNAPSHOT_TMP));
 
-    let db = make_db(shards);
+    let db = SignatureDb::with_shards(shards);
     let mut report = RecoveryReport::default();
 
     let snap_path = dir.join(SNAPSHOT_FILE);
@@ -856,6 +851,7 @@ fn recover(dir: &Path, shards: usize) -> io::Result<(SignatureDb, RecoveryReport
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_SHARDS;
     use std::sync::atomic::AtomicUsize;
 
     static DIRS: AtomicUsize = AtomicUsize::new(0);
@@ -924,6 +920,59 @@ mod tests {
         assert_eq!(report.wal_records, 50);
         assert!(!report.torn_tail);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every file under `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn zero_shard_preload_matches_one_shard_and_reopens_in_order() {
+        // One writer, a snapshot at nine tenths, the rest in the WAL
+        // tail: how a benchmark preloads the store a server boots from.
+        let sigs: Vec<String> = (0..200).map(|i| format!("preload-sig-{i:04}")).collect();
+        let write = |shards: usize, dir: &Path| {
+            let store = Store::open(shards, DurabilityConfig::new(dir), &Registry::new()).unwrap();
+            assert_eq!(store.shard_count(), 1);
+            for (i, sig) in sigs.iter().enumerate() {
+                if i == 180 {
+                    store.snapshot().unwrap();
+                }
+                store.add(sig);
+            }
+            store.sync().unwrap();
+        };
+        let (zero, one) = (scratch("preload-0"), scratch("preload-1"));
+        write(0, &zero);
+        write(1, &one);
+        assert_eq!(
+            dir_bytes(&zero),
+            dir_bytes(&one),
+            "same snapshot and WAL bytes"
+        );
+        let store = Store::open(
+            DEFAULT_SHARDS,
+            DurabilityConfig::new(&zero),
+            &Registry::new(),
+        )
+        .unwrap();
+        assert_eq!(store.shard_count(), DEFAULT_SHARDS);
+        assert_eq!(store.recovery().snapshot_sigs, 180);
+        assert_eq!(store.recovery().wal_records, 20);
+        assert_eq!(store.get_from(0), sigs);
+        drop(store);
+        let _ = fs::remove_dir_all(&zero);
+        let _ = fs::remove_dir_all(&one);
     }
 
     #[test]

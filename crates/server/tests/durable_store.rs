@@ -117,7 +117,7 @@ fn epoch_compaction_resyncs_clients_end_to_end() {
     // epoch, and renumbers the surviving log from zero.
     upload(&connect, 1, &[sig(7)]);
     assert_eq!(server.store().epoch(), 1, "eighth ADD should trip the GC");
-    let served = server.db().get_from(0);
+    let served = server.store().get_from(0);
     assert_eq!(served.len(), 5, "GC keeps the newest ¾-cap of signatures");
 
     // The stale-cursor client resyncs through the epoch signal: one

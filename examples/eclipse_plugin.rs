@@ -55,11 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "user {user}: feature {user} -> {} deadlock(s); uploaded {uploaded}; server now holds {}",
             outcome.deadlocks.len(),
-            server.db().len()
+            server.store().len()
         );
         assert_eq!(outcome.deadlocks.len(), 1, "each bug manifests once");
     }
-    assert_eq!(server.db().len(), BUGS);
+    assert_eq!(server.store().len(), BUGS);
 
     // ------------------------------------------------------------------
     // Week 2: a developer installs the plugin. One overnight sync later

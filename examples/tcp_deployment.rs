@@ -11,10 +11,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use communix::client::{ClientDaemon, Connector, LocalRepository};
-use communix::clock::SystemClock;
+use communix::client::{ClientDaemon, Connector, LocalRepository, TcpConnect};
 use communix::net::{Reply, Request, TcpClient};
-use communix::server::{CommunixServer, ServerConfig};
 use communix::workloads::DeadlockApp;
 use communix::{CommunixNode, NodeConfig};
 use parking_lot::Mutex;
@@ -36,11 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // The immunity server, listening on a real socket.
     // ------------------------------------------------------------------
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let mut tcp = communix::server::serve("127.0.0.1:0", server.clone())?;
+    let (_server, mut tcp) = communix::server::builder().serve("127.0.0.1:0")?;
     let addr = tcp.addr();
     println!(
         "server: listening on {addr} ({} transport)",
@@ -70,9 +64,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
     let mut daemon = ClientDaemon::spawn(
-        TcpConnector { addr },
+        TcpConnect::new(addr),
         repo.clone(),
         Duration::from_millis(50),
+        0,
     );
 
     // Wait for the daemon's first rounds to land.

@@ -28,7 +28,7 @@ fn empty_batch_and_empty_delta_are_clean_noops() {
     // An empty upload batch is acked with an empty verdict list…
     let results = upload_batch(&mut conn, Vec::new()).unwrap();
     assert!(results.is_empty());
-    assert!(srv.db().is_empty());
+    assert!(srv.store().is_empty());
 
     // …and a delta sync against an empty server downloads nothing.
     let mut repo = LocalRepository::in_memory();
@@ -62,7 +62,7 @@ fn forged_id_inside_batch_rejects_only_that_item() {
     assert_eq!(results[1].reason, "invalid encrypted sender id");
     assert!(results[2].accepted);
     assert!(results[3].accepted);
-    assert_eq!(srv.db().len(), 3, "only the three valid adds stored");
+    assert_eq!(srv.store().len(), 3, "only the three valid adds stored");
 
     // The forged item's signature is downloadable by nobody — a full
     // delta sync sees exactly the accepted three.
@@ -90,7 +90,12 @@ fn windowed_delta_walks_shard_boundaries_in_order() {
 
     // Entries really spread across shards (otherwise this test proves
     // nothing about boundaries).
-    let spread = srv.db().shard_stats().iter().filter(|s| s.sigs > 0).count();
+    let spread = srv
+        .store()
+        .shard_stats()
+        .iter()
+        .filter(|s| s.sigs > 0)
+        .count();
     assert!(spread > 1, "40 signatures landed in one shard");
 
     let mut repo = LocalRepository::in_memory();
@@ -98,7 +103,7 @@ fn windowed_delta_walks_shard_boundaries_in_order() {
     assert_eq!(n, 40);
     assert_eq!(srv.stats().deltas, 6, "⌈40/7⌉ = 6 windows");
     // Byte-for-byte the server's global order.
-    let server_view = srv.db().get_from(0);
+    let server_view = srv.store().get_from(0);
     let client_view: Vec<String> = (0..repo.len())
         .map(|i| repo.sig(i).unwrap().to_string())
         .collect();

@@ -51,7 +51,7 @@ fn flood_is_capped_by_budget_and_adjacency() {
         clock.advance(DAY + communix::clock::Duration::from_secs(1));
     }
     assert!(accepted_total <= 30);
-    assert_eq!(srv.db().len(), accepted_total);
+    assert_eq!(srv.store().len(), accepted_total);
 }
 
 #[test]
@@ -110,7 +110,7 @@ fn malicious_signatures_never_reach_an_unrelated_history() {
             });
         }
     }
-    assert_eq!(srv.db().len(), 50);
+    assert_eq!(srv.store().len(), 50);
 
     let profile = JBOSS.scaled(0.05);
     let mut node = CommunixNode::new(profile.generate(), NodeConfig::for_user(9));

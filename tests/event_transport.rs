@@ -7,14 +7,12 @@
 use std::sync::Arc;
 
 use communix::client::{sync_delta, sync_once, upload_batch, LocalRepository};
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request, TcpClient};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::server::CommunixServer;
 use communix::workloads::SigGen;
 
-fn serve(config: ServerConfig) -> (communix::net::TcpServer, Arc<CommunixServer>) {
-    let srv = Arc::new(CommunixServer::new(config, Arc::new(SystemClock::new())));
-    let tcp = communix::server::serve("127.0.0.1:0", srv.clone()).unwrap();
+fn serve() -> (communix::net::TcpServer, Arc<CommunixServer>) {
+    let (srv, tcp) = communix::server::builder().serve("127.0.0.1:0").unwrap();
     (tcp, srv)
 }
 
@@ -29,7 +27,7 @@ fn wire_connector(addr: std::net::SocketAddr) -> impl FnMut(Request) -> Result<R
 
 #[test]
 fn old_and_batched_clients_share_one_event_driven_server() {
-    let (mut tcp, srv) = serve(ServerConfig::default());
+    let (mut tcp, srv) = serve();
     if cfg!(unix) {
         assert!(
             tcp.transport().starts_with("event-"),
@@ -83,7 +81,7 @@ fn old_and_batched_clients_share_one_event_driven_server() {
 fn batch_validation_is_identical_over_the_wire() {
     // The wire changes nothing about §III-C2 validation: a forged id
     // inside an ADD_BATCH rejects only that item, same as in-process.
-    let (mut tcp, srv) = serve(ServerConfig::default());
+    let (mut tcp, srv) = serve();
     let mut gen = SigGen::new(42);
     let adds = vec![
         (srv.authority().issue(1), gen.random_signature().to_string()),
@@ -96,6 +94,6 @@ fn batch_validation_is_identical_over_the_wire() {
     assert!(!results[1].accepted);
     assert_eq!(results[1].reason, "invalid encrypted sender id");
     assert!(results[2].accepted);
-    assert_eq!(srv.db().len(), 2);
+    assert_eq!(srv.store().len(), 2);
     tcp.shutdown();
 }

@@ -181,5 +181,5 @@ fn node_without_id_keeps_signatures_for_later() {
     // Once the id arrives, the queued signature goes out.
     node.obtain_id(&mut conn).unwrap();
     assert_eq!(node.upload_pending(&mut conn).unwrap(), 1);
-    assert_eq!(srv.db().len(), 1);
+    assert_eq!(srv.store().len(), 1);
 }

@@ -39,7 +39,7 @@ fn community_converges_to_one_signature_covering_all_paths() {
         assert_eq!(outcome.deadlocks.len(), 1, "user {user} hits path {user}");
         assert_eq!(node.upload_pending(&mut conn).unwrap(), 1);
     }
-    assert_eq!(srv.db().len(), paths, "four manifestations stored");
+    assert_eq!(srv.store().len(), paths, "four manifestations stored");
 
     // A fresh node downloads all four; the agent merges them into ONE
     // history entry ("the role of signature generalization is to keep
@@ -157,6 +157,6 @@ fn same_bug_reuploads_are_deduplicated_server_side() {
         node.run(&app.deadlock_specs(0));
         node.upload_pending(&mut conn).unwrap();
     }
-    assert_eq!(srv.db().len(), 1, "identical manifestation stored once");
+    assert_eq!(srv.store().len(), 1, "identical manifestation stored once");
     assert_eq!(srv.stats().adds_duplicate, 1);
 }

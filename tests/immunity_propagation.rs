@@ -50,7 +50,7 @@ fn one_victim_immunizes_many_nodes() {
     }
 
     // The server saw exactly one signature and five incremental syncs.
-    assert_eq!(srv.db().len(), 1);
+    assert_eq!(srv.store().len(), 1);
     let stats = srv.stats();
     assert_eq!(stats.adds_accepted, 1);
     assert_eq!(stats.gets, 5);
@@ -130,7 +130,7 @@ fn discoveries_flow_both_ways() {
     assert_eq!(b.run(&app.deadlock_specs(1)).deadlocks.len(), 1);
     a.upload_pending(&mut conn_a).unwrap();
     b.upload_pending(&mut conn_b).unwrap();
-    assert_eq!(srv.db().len(), 2);
+    assert_eq!(srv.store().len(), 2);
 
     // Cross-pollination.
     a.sync(&mut conn_a).unwrap();
@@ -162,7 +162,7 @@ fn plugin_attaches_hashes_on_the_wire() {
     victim.run(&app.deadlock_specs());
     victim.upload_pending(&mut conn).unwrap();
 
-    let stored = srv.db().get_from(0);
+    let stored = srv.store().get_from(0);
     assert_eq!(stored.len(), 1);
     let sig: communix::dimmunix::Signature = stored[0].parse().unwrap();
     let expected = app

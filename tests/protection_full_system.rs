@@ -85,7 +85,7 @@ fn community_reaches_full_protection_nu_times_faster() {
         communix_days, 1,
         "Nu = Nd users running in different ways cover every bug on day one"
     );
-    assert_eq!(srv.db().len(), BUGS, "each bug's signature stored once");
+    assert_eq!(srv.store().len(), BUGS, "each bug's signature stored once");
 
     // ------------------------------------------------------------------
     // Dimmunix alone: one user, one feature per day — needs Nd days.

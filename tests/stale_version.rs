@@ -50,7 +50,7 @@ fn seed_server_with_victim(program: &Program, app: &ManifestationApp) -> Arc<Com
     victim.startup();
     assert_eq!(victim.run(&app.deadlock_specs(0)).deadlocks.len(), 1);
     victim.upload_pending(&mut conn).unwrap();
-    assert_eq!(srv.db().len(), 1);
+    assert_eq!(srv.store().len(), 1);
     srv
 }
 

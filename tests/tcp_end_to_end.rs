@@ -5,9 +5,8 @@ use std::io::Write;
 use std::sync::Arc;
 
 use communix::client::Connector;
-use communix::clock::SystemClock;
-use communix::net::{Reply, Request, TcpClient, TcpServer};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::net::{Handler, Reply, Request, TcpClient, TcpServer, TcpServerConfig};
+use communix::server::CommunixServer;
 use communix::workloads::DeadlockApp;
 use communix::{CommunixNode, NodeConfig};
 
@@ -23,11 +22,7 @@ impl Connector for TcpConnector {
 }
 
 fn spawn_server() -> (TcpServer, Arc<CommunixServer>) {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let tcp = communix::server::serve("127.0.0.1:0", server.clone()).unwrap();
+    let (server, tcp) = communix::server::builder().serve("127.0.0.1:0").unwrap();
     (tcp, server)
 }
 
@@ -43,7 +38,7 @@ fn full_cycle_over_sockets() {
     a.startup();
     assert_eq!(a.run(&app.deadlock_specs()).deadlocks.len(), 1);
     assert_eq!(a.upload_pending(&mut conn).unwrap(), 1);
-    assert_eq!(server.db().len(), 1);
+    assert_eq!(server.store().len(), 1);
 
     let mut b = CommunixNode::new(app.program().clone(), NodeConfig::for_user(2));
     let mut conn = TcpConnector { addr };
@@ -80,7 +75,7 @@ fn concurrent_uploads_from_many_nodes() {
             });
         }
     });
-    assert_eq!(server.db().len(), 40);
+    assert_eq!(server.store().len(), 40);
     tcp.shutdown();
 }
 
@@ -171,7 +166,15 @@ fn node_survives_flaky_server_and_recovers() {
     assert_eq!(o.deadlocks.len(), 1, "unprotected, but functional");
 
     // The server comes back (new socket, same database).
-    let tcp2 = communix::server::serve("127.0.0.1:0", server.clone()).unwrap();
+    let handler: Handler = {
+        let server = server.clone();
+        Arc::new(move |req| server.handle(req))
+    };
+    let config = TcpServerConfig {
+        registry: Some(server.telemetry().clone()),
+        ..TcpServerConfig::default()
+    };
+    let tcp2 = TcpServer::bind_with("127.0.0.1:0", handler, config).unwrap();
     let mut conn2 = TcpConnector { addr: tcp2.addr() };
     assert_eq!(b.sync(&mut conn2).unwrap(), 1);
     b.startup();

@@ -4,22 +4,14 @@
 //! the server plus connection gauges from the transport — and the same
 //! registry is visible in-process through `telemetry_snapshot()`.
 
-use std::sync::Arc;
-
 use communix::client::fetch_stats;
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request, TcpClient};
-use communix::server::{CommunixServer, ServerConfig};
 use communix::telemetry::json::flatten_numbers;
 use communix::workloads::SigGen;
 
 #[test]
 fn live_server_answers_stats_with_a_parseable_snapshot() {
-    let srv = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let mut tcp = communix::server::serve("127.0.0.1:0", srv.clone()).unwrap();
+    let (srv, mut tcp) = communix::server::builder().serve("127.0.0.1:0").unwrap();
     let mut gen = SigGen::new(7);
 
     // Drive some traffic first so the snapshot has something to say.
